@@ -24,8 +24,11 @@ go test ./internal/baseline -run TestRegistryDifferentialCachedVsUncached -count
 # tiny shards must pick up grains from the big shard's kernels with the
 # race detector watching. The fan-out path runs every shard's kernels
 # concurrently, so -race here guards the remap-and-reduce merge code and
-# the cross-shard atomics.
-go test -race ./internal/baseline -run 'TestShardDifferential|TestShardMetamorphic|TestShardCancellation' -count=1
+# the cross-shard atomics. The sharded planner differential rides along:
+# every coreport/follow plan at K=1, K=4 and a skewed K=3 split whose panel
+# events span shards (the events plan must intersect global event bitmaps,
+# not per-shard ones), on panels with and without duplicate source ids.
+go test -race ./internal/baseline -run 'TestShardDifferential|TestShardMetamorphic|TestShardCancellation|TestPlannerDifferentialSharded' -count=1
 
 # Executor pool smoke: the process-default work-stealing pool must be built
 # exactly once no matter how many parallel loops run (asserted through the
@@ -121,8 +124,10 @@ go test -race ./internal/baseline -run TestCompactionDifferential -count=1
 # duplicate tick, reordered drop against a local feed server) and the
 # checkpoint-resume test (a restarted poller must drop checkpointed ticks
 # as duplicates and re-skip gaps too old for the grace window, never
-# re-folding them) ride along.
-go test -race ./internal/shard -run 'TestLog' -count=1
+# re-folding them) ride along, as do the cache-staleness pins: after a tail
+# append every cached window goes stale, and every registered kind's cached
+# cold-window answer must equal an uncached run.
+go test -race ./internal/shard -run 'TestLog|TestAppendTail|TestTailAppendInvalidatesEveryWindow|TestColdWindowCacheAfterAppendAllKinds' -count=1
 go test -race ./internal/stream -run 'TestLiveFeedEndToEnd|TestLiveResumeFromCheckpoint|TestCheckpoint' -count=1
 
 # Streaming benchmark gate: the back half of a bench corpus arrives as

@@ -25,20 +25,57 @@ var plannerModes = []engine.PlanMode{
 }
 
 // plannerPanels returns the source selections the battery runs on: a dense
-// top-16 panel (high selectivity, auto resolves to events) and a sparse
+// top-16 panel (high selectivity, auto resolves to events), a sparse
 // mid-spectrum panel (auto resolves to rows), so both auto branches and
-// both forced paths see real work.
+// both forced paths see real work, and a dense panel repeating source ids,
+// whose shadowed positions every plan must leave all-zero.
 func plannerPanels(ranked []int32) map[string][]int32 {
+	top := ranked[:min(16, len(ranked))]
 	panels := map[string][]int32{
-		"top16": ranked[:min(16, len(ranked))],
+		"top16": top,
+		"dup":   append(append([]int32(nil), top[:8]...), top[0], top[3], top[3], top[7]),
 	}
 	base := len(ranked) / 8
 	if base+16 <= len(ranked) {
 		panels["mid16"] = ranked[base : base+16]
 	} else {
-		panels["mid16"] = ranked[:min(16, len(ranked))]
+		panels["mid16"] = top
 	}
 	return panels
+}
+
+// shardSpanningPairs counts (event, source pair) co-reports among the panel
+// that no single shard holds both halves of: the events on which a
+// per-shard intersection of event bitmaps would undercount the pair.
+func shardSpanningPairs(sdb *shard.DB, ids []int32) int {
+	masks := map[int64][]uint64{} // event id -> per-panel-position shard mask
+	for i := 0; i < sdb.K(); i++ {
+		p := sdb.Part(i)
+		for pos, src := range ids {
+			ls := p.Sources.Lookup(sdb.Sources().Name(src))
+			if ls < 0 {
+				continue
+			}
+			p.SourceEventBitmap(ls).ForEach(func(le int32) {
+				id := p.Events.ID[le]
+				if masks[id] == nil {
+					masks[id] = make([]uint64, len(ids))
+				}
+				masks[id][pos] |= 1 << uint(i)
+			})
+		}
+	}
+	n := 0
+	for _, m := range masks {
+		for a := range m {
+			for b := a + 1; b < len(m); b++ {
+				if m[a] != 0 && m[b] != 0 && m[a]&m[b] == 0 {
+					n++
+				}
+			}
+		}
+	}
+	return n
 }
 
 func TestPlannerDifferentialMonolith(t *testing.T) {
@@ -76,13 +113,29 @@ func TestPlannerDifferentialMonolith(t *testing.T) {
 	}
 }
 
+// TestPlannerDifferentialSharded runs the planner battery over balanced
+// K ∈ {1,4} splits and a skewed K=3 split (80/20, see skewedBounds) whose
+// panel events span shards — the case where the events plan must intersect
+// global event bitmaps, not per-shard ones.
 func TestPlannerDifferentialSharded(t *testing.T) {
 	for seedIdx, db := range kernelWorlds(t) {
 		ranked, _ := queries.TopPublishers(engine.New(db), db.Sources.Len())
-		for _, k := range []int{1, 4} {
-			sdb, err := shard.Split(db, k)
+		for _, split := range []string{"K1", "K4", "K3skew"} {
+			var sdb *shard.DB
+			var err error
+			switch split {
+			case "K1":
+				sdb, err = shard.Split(db, 1)
+			case "K4":
+				sdb, err = shard.Split(db, 4)
+			default:
+				sdb, err = shard.SplitAt(db, skewedBounds(db.Meta.Intervals, 3))
+			}
 			if err != nil {
-				t.Fatalf("Split(%d): %v", k, err)
+				t.Fatalf("%s: %v", split, err)
+			}
+			if split == "K3skew" && shardSpanningPairs(sdb, plannerPanels(ranked)["top16"]) == 0 {
+				t.Fatalf("world%d: no top16 co-report spans the skewed shards; the split proves nothing", seedIdx)
 			}
 			for name, ids := range plannerPanels(ranked) {
 				refCo, err := queries.CoReportScan(engine.New(db).WithWorkers(1), ids)
@@ -93,7 +146,7 @@ func TestPlannerDifferentialSharded(t *testing.T) {
 				for _, w := range differentialWorkers {
 					for _, mode := range plannerModes {
 						v := sdb.View().WithWorkers(w).WithPlan(mode)
-						prefix := fmt.Sprintf("world%d/K%d/%s/w%d/%s", seedIdx, k, name, w, mode)
+						prefix := fmt.Sprintf("world%d/%s/%s/w%d/%s", seedIdx, split, name, w, mode)
 						t.Run(prefix+"/coreport", func(t *testing.T) {
 							got, err := v.CoReport(ids)
 							if err != nil {

@@ -26,6 +26,12 @@ const IntervalsPerDay = 24 * 3600 / IntervalSeconds
 // (35040); the paper's year-later outliers sit at this scale.
 const IntervalsPerYear = 365 * IntervalsPerDay
 
+// MaxDelay caps a mention's publishing delay in capture intervals: one year
+// plus a day (35136, Table VIII's shared maximum). Ingestion clamps delays
+// into [0, MaxDelay] and store validation rejects anything outside it, so
+// delay-indexed counting tables can be sized MaxDelay+1.
+const MaxDelay = IntervalsPerYear + IntervalsPerDay
+
 // MakeTimestamp builds a Timestamp from calendar components.
 func MakeTimestamp(year, month, day, hour, min, sec int) Timestamp {
 	return Timestamp(int64(year)*1e10 + int64(month)*1e8 + int64(day)*1e6 +

@@ -280,10 +280,9 @@ func (c *Cache) insertLocked(key Key, val any) {
 
 // SetStale installs a store-specific staleness predicate consulted during
 // version sweeps instead of the default "entry version < sweep version"
-// rule. Sharded stores use it to retire exactly the entries whose window
-// overlaps a bumped shard (shard.DB.StaleKey) while keeping results for
-// cold shards warm across tail appends. fn must be safe for concurrent
-// calls and fast — it runs under the cache lock.
+// rule. Sharded stores use it to retire exactly the entries whose version
+// vector a shard has moved past (shard.DB.StaleKey). fn must be safe for
+// concurrent calls and fast — it runs under the cache lock.
 func (c *Cache) SetStale(fn func(Key) bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

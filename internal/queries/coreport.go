@@ -23,10 +23,10 @@ type CoReporting struct {
 	Jaccard *matrix.Dense
 }
 
-// slotLUT builds the source→selection-slot remap column: slot[s] is the
+// SlotLUT builds the source→selection-slot remap column: slot[s] is the
 // index of s in sources, or -1 when unselected. Duplicate ids resolve to the
 // last occurrence, matching the maps the closure versions used to build.
-func slotLUT(nSources int, sources []int32) []int32 {
+func SlotLUT(nSources int, sources []int32) []int32 {
 	slot := make([]int32, nSources)
 	for i := range slot {
 		slot[i] = -1
@@ -102,12 +102,12 @@ func groupSelectedMentions(e *engine.Engine, sources []int32) *eventGroups {
 	return eg
 }
 
-// activeSlots returns the panel positions that survive duplicate
+// ActiveSlots returns the panel positions that survive duplicate
 // resolution: slot[sources[i]] == i exactly when position i is the last
 // occurrence of its source. Shadowed positions are inert — the scan never
 // marks them present — so the bitmap-algebra plans must compute them as
 // zeros, which skipping them here achieves.
-func activeSlots(sources []int32, slot []int32) []int32 {
+func ActiveSlots(sources []int32, slot []int32) []int32 {
 	act := make([]int32, 0, len(sources))
 	for i, s := range sources {
 		if slot[s] == int32(i) {
@@ -127,7 +127,7 @@ func activeSlots(sources []int32, slot []int32) []int32 {
 // scan to this set is exact, not an approximation.
 func contributingEvents(e *engine.Engine, sources []int32, slot []int32) []int32 {
 	db := e.DB()
-	act := activeSlots(sources, slot)
+	act := ActiveSlots(sources, slot)
 	evBMs := make([]*bitmap.Bitmap, len(act))
 	repBMs := make([]*bitmap.Bitmap, 0, len(act)+1)
 	for i, a := range act {
@@ -233,7 +233,7 @@ func CoReport(e *engine.Engine, sources []int32) (*CoReporting, error) {
 	}
 	db := e.DB()
 	n := len(sources)
-	slot := slotLUT(db.Sources.Len(), sources)
+	slot := SlotLUT(db.Sources.Len(), sources)
 	eg := groupSelectedMentions(e, sources)
 	res := engine.ScanRows(e, eg.idx, db.Events.Len(),
 		func() *coPartial { return newCoPartial(n) },
@@ -256,28 +256,35 @@ func CoReport(e *engine.Engine, sources []int32) (*CoReporting, error) {
 // count is the event-bitmap cardinality. No mention row is touched at all:
 // the k×k result costs O(k² × containers) register work, which on dense
 // top-k panels is an order of magnitude under the scan it replaces.
-// Shadowed duplicate panel positions stay all-zero, matching the scan's
-// last-occurrence slot resolution.
 func coReportEvents(e *engine.Engine, sources []int32) (*CoReporting, error) {
 	db := e.DB()
-	n := len(sources)
-	slot := slotLUT(db.Sources.Len(), sources)
-	act := activeSlots(sources, slot)
+	act := ActiveSlots(sources, SlotLUT(db.Sources.Len(), sources))
 	bms := make([]*bitmap.Bitmap, len(act))
-	res := newCoPartial(n)
-	for ai, i := range act {
-		bms[ai] = db.SourceEventBitmap(sources[i])
-		res.counts[i] = bms[ai].Cardinality()
+	for a, i := range act {
+		bms[a] = db.SourceEventBitmap(sources[i])
 	}
+	counts, pair := EventBitmapCounts(len(sources), act, bms)
+	return finishCoReport(e, sources, &coPartial{pair: pair, counts: counts})
+}
+
+// EventBitmapCounts computes the co-reporting singleton and pair counts of
+// an n-source panel from the event bitmaps of its active positions
+// (bms[a] belongs to panel position act[a]): e_i = |B_i| and e_ij =
+// |B_i ∩ B_j|. Shadowed duplicate positions stay all-zero, matching the
+// scan's last-occurrence slot resolution.
+func EventBitmapCounts(n int, act []int32, bms []*bitmap.Bitmap) ([]int64, *matrix.Int64) {
+	counts := make([]int64, n)
+	pair := matrix.NewInt64(n, n)
 	cards := bitmap.PairwiseIntersectCards(bms)
-	for ai, i := range act {
-		for bj, j := range act[ai+1:] {
-			c := cards[ai][ai+1+bj]
-			res.pair.Set(int(i), int(j), c)
-			res.pair.Set(int(j), int(i), c)
+	for a, i := range act {
+		counts[i] = bms[a].Cardinality()
+		for b := a + 1; b < len(act); b++ {
+			j, c := act[b], cards[a][b]
+			pair.Set(int(i), int(j), c)
+			pair.Set(int(j), int(i), c)
 		}
 	}
-	return finishCoReport(e, sources, res)
+	return counts, pair
 }
 
 // CoReportScan is the full-scan closure fallback of CoReport: a parallel
@@ -288,7 +295,7 @@ func coReportEvents(e *engine.Engine, sources []int32) (*CoReporting, error) {
 func CoReportScan(e *engine.Engine, sources []int32) (*CoReporting, error) {
 	db := e.DB()
 	n := len(sources)
-	slot := slotLUT(db.Sources.Len(), sources)
+	slot := SlotLUT(db.Sources.Len(), sources)
 	res := parallel.MapReduce(db.Events.Len(), e.ScanOptions(),
 		func() *coPartial { return newCoPartial(n) },
 		func(acc *coPartial, lo, hi int) *coPartial {
@@ -497,7 +504,7 @@ func FollowReport(e *engine.Engine, sources []int32) *FollowReporting {
 	}
 	db := e.DB()
 	n := len(sources)
-	slot := slotLUT(db.Sources.Len(), sources)
+	slot := SlotLUT(db.Sources.Len(), sources)
 	eg := groupSelectedMentions(e, sources)
 	nm := engine.ScanRows(e, eg.idx, db.Events.Len(),
 		func() *matrix.Int64 { return &matrix.Int64{Rows: n, Cols: n, Data: parallel.GetInt64(n * n)} },
@@ -524,7 +531,7 @@ func FollowReport(e *engine.Engine, sources []int32) *FollowReporting {
 func followReportEvents(e *engine.Engine, sources []int32) *FollowReporting {
 	db := e.DB()
 	n := len(sources)
-	slot := slotLUT(db.Sources.Len(), sources)
+	slot := SlotLUT(db.Sources.Len(), sources)
 	evs := contributingEvents(e, sources, slot)
 	nm := engine.ScanRows(e, evs, db.Events.Len(),
 		func() *matrix.Int64 { return &matrix.Int64{Rows: n, Cols: n, Data: parallel.GetInt64(n * n)} },
@@ -550,7 +557,7 @@ func followReportEvents(e *engine.Engine, sources []int32) *FollowReporting {
 func FollowReportScan(e *engine.Engine, sources []int32) *FollowReporting {
 	db := e.DB()
 	n := len(sources)
-	slot := slotLUT(db.Sources.Len(), sources)
+	slot := SlotLUT(db.Sources.Len(), sources)
 	nm := parallel.MapReduce(db.Events.Len(), e.ScanOptions(),
 		func() *matrix.Int64 { return &matrix.Int64{Rows: n, Cols: n, Data: parallel.GetInt64(n * n)} },
 		func(acc *matrix.Int64, lo, hi int) *matrix.Int64 {

@@ -1,17 +1,11 @@
 package queries
 
 import (
-	"sort"
-
 	"gdeltmine/internal/engine"
 	"gdeltmine/internal/gdelt"
 	"gdeltmine/internal/parallel"
 	"gdeltmine/internal/stats"
 )
-
-// maxDelay bounds delays in 15-minute intervals: one year plus a day, the
-// cap the store's builder enforces (Table VIII's shared maximum ~35135).
-const maxDelay = gdelt.IntervalsPerYear + gdelt.IntervalsPerDay
 
 // SourceDelayStats is one publisher's row of Table VIII.
 type SourceDelayStats struct {
@@ -26,37 +20,37 @@ type SourceDelayStats struct {
 
 // PublisherDelays computes per-source delay statistics for the given
 // sources (Table VIII uses the top-10 publishers; Figure 9 uses all
-// sources). The scan is parallel over sources via the postings index.
+// sources). The scan is parallel over sources via the postings index; each
+// chunk of sources reuses one MedianSample.
 func PublisherDelays(e *engine.Engine, sources []int32) []SourceDelayStats {
 	db := e.DB()
 	out := make([]SourceDelayStats, len(sources))
 	parallel.ForOpt(len(sources), e.ScanOptions(), func(lo, hi int) {
-		var buf []int64
+		ms := stats.NewMedianSample(gdelt.MaxDelay)
 		for i := lo; i < hi; i++ {
 			s := sources[i]
 			rows := db.SourceMentions(s)
-			st := SourceDelayStats{Source: s, Name: db.Sources.Name(s), Articles: int64(len(rows))}
-			if len(rows) > 0 {
-				buf = buf[:0]
-				var agg stats.IntSummary
-				for _, r := range rows {
-					d := int64(db.Mentions.Delay[r])
-					agg.Add(d)
-					buf = append(buf, d)
-				}
-				sort.Slice(buf, func(a, b int) bool { return buf[a] < buf[b] })
-				st.Min, st.Max, st.Average = agg.Min, agg.Max, agg.Mean()
-				st.Median = buf[(len(buf)-1)/2] // lower median
-			}
-			out[i] = st
+			ms.Reset(len(rows))
+			ms.AddRows(db.Mentions.Delay, rows)
+			out[i] = SourceDelays(s, db.Sources.Name(s), ms)
 		}
 	})
 	return out
 }
 
+// SourceDelays shapes one Table VIII row from a source's delay sample.
+func SourceDelays(src int32, name string, ms *stats.MedianSample) SourceDelayStats {
+	sum := ms.Summary()
+	st := SourceDelayStats{Source: src, Name: name, Articles: sum.N}
+	if sum.N > 0 {
+		st.Min, st.Max, st.Average, st.Median = sum.Min, sum.Max, sum.Mean(), ms.Median()
+	}
+	return st
+}
+
 // DelayDistribution is Figure 9: for every source with at least one
 // article, the distribution of its minimum, average, median and maximum
-// delay, as log-binned histograms (base 2 over [1, maxDelay]) plus the raw
+// delay, as log-binned histograms (base 2 over [1, gdelt.MaxDelay]) plus the raw
 // per-source statistics.
 type DelayDistribution struct {
 	PerSource []SourceDelayStats
@@ -66,7 +60,7 @@ type DelayDistribution struct {
 	Max       *stats.LogHistogram
 }
 
-// delayHistBuckets covers 1..2^17 = 131072 > maxDelay.
+// delayHistBuckets covers 1..2^17 = 131072 > gdelt.MaxDelay.
 const delayHistBuckets = 17
 
 // DelayDistributionAll computes Figure 9 over all sources.
@@ -116,7 +110,7 @@ func QuarterlyDelays(e *engine.Engine) QuarterlyDelay {
 		Median:  make([]int64, nq),
 	}
 	parallel.ForOpt(nq, scanOptGrain1(e), func(qlo, qhi int) {
-		ct := stats.NewCountTable(maxDelay)
+		ct := stats.NewCountTable(gdelt.MaxDelay)
 		for q := qlo; q < qhi; q++ {
 			for i := range ct.Counts {
 				ct.Counts[i] = 0

@@ -440,7 +440,7 @@ func TestPublisherDelaysTableVIII(t *testing.T) {
 		if st.Average <= float64(st.Median) {
 			t.Fatalf("%s average %.1f not skewed above median %d", st.Name, st.Average, st.Median)
 		}
-		if st.Max < st.Median || st.Max > maxDelay {
+		if st.Max < st.Median || st.Max > gdelt.MaxDelay {
 			t.Fatalf("%s max %d", st.Name, st.Max)
 		}
 	}

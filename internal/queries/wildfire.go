@@ -40,33 +40,39 @@ func FastSpreadingEvents(e *engine.Engine, window int32, minSources, k int) []Wi
 	candidates := parallel.MapReduce(db.Events.Len(), e.ScanOptions(),
 		func() []Wildfire { return nil },
 		func(acc []Wildfire, lo, hi int) []Wildfire {
-			seen := map[int32]bool{}
+			// stamp[s] == gen marks source s as seen on the current event,
+			// so moving to the next event is one increment, not a clear.
+			stamp := make([]int32, db.Sources.Len())
+			var gen int32
 			for ev := lo; ev < hi; ev++ {
 				rows := db.EventMentions(int32(ev))
 				if len(rows) < minSources {
 					continue
 				}
 				cutoff := db.Events.Interval[ev] + window
-				clear(seen)
-				early := 0
+				gen++
+				early, distinct := 0, 0
 				for _, r := range rows {
 					if db.Mentions.Interval[r] >= cutoff {
 						break // postings are interval-sorted
 					}
 					early++
-					seen[db.Mentions.Source[r]] = true
+					if s := db.Mentions.Source[r]; stamp[s] != gen {
+						stamp[s] = gen
+						distinct++
+					}
 				}
-				if len(seen) < minSources {
+				if distinct < minSources {
 					continue
 				}
 				acc = append(acc, Wildfire{
 					EventRow:      int32(ev),
 					EventID:       db.Events.ID[ev],
 					SourceURL:     db.Events.SourceURL[ev],
-					EarlySources:  len(seen),
+					EarlySources:  distinct,
 					EarlyArticles: early,
 					TotalArticles: db.Events.NumArticles[ev],
-					Velocity:      float64(len(seen)) / float64(window),
+					Velocity:      float64(distinct) / float64(window),
 				})
 			}
 			return acc

@@ -52,13 +52,13 @@ func (x *Executor) Execute(d *Descriptor, e *engine.Engine, p Params) (any, qcac
 }
 
 // ExecuteSharded is Execute against a sharded view. The cache key's Window
-// embeds the per-shard version vector of the overlapping shards (see
-// shard.DB.WindowVersionKey) and Version is the max over them, so a
-// tail-shard append invalidates exactly the entries whose windows touch
-// the tail while cold-shard entries stay warm. A view restricted to a
-// shard subset (degraded serving) additionally carries its subset as the
-// key's Scope, so a partial result is never stored under — or served for —
-// the full-coverage key.
+// embeds the version vector of every shard (see shard.DB.WindowVersionKey)
+// and Version is the max over it, so a tail-shard append invalidates every
+// entry, cold windows included: answers read postings and per-event
+// metadata outside their window. A view restricted to a shard subset
+// (degraded serving) additionally carries its subset as the key's Scope,
+// so a partial result is never stored under — or served for — the
+// full-coverage key.
 func (x *Executor) ExecuteSharded(d *Descriptor, v *shard.View, p Params) (any, qcache.Outcome, error) {
 	if d.RunSharded == nil {
 		return nil, qcache.Bypass, fmt.Errorf("registry: kind %q has no sharded execution", d.Kind)
@@ -82,7 +82,7 @@ func (x *Executor) ExecuteSharded(d *Descriptor, v *shard.View, p Params) (any, 
 		Kind:    d.Kind,
 		Params:  d.Canonical(p),
 		Window:  v.DB().WindowVersionKey(from, to),
-		Version: v.DB().VersionMax(from, to),
+		Version: v.DB().VersionMax(),
 		Scope:   v.ShardScope(),
 	}
 	return x.Cache.Do(v.Context(), key, compute)

@@ -40,7 +40,7 @@ import (
 type Server struct {
 	db        *store.DB
 	eng       *engine.Engine
-	sview     *shard.View // non-nil when serving a sharded dataset
+	sview     *shard.View        // non-nil when serving a sharded dataset
 	snap      func() *shard.View // non-nil when serving a live append log
 	cfg       Config
 	handler   http.Handler
@@ -99,8 +99,8 @@ func NewSharded(sdb *shard.DB, cfg Config) *Server {
 // before the request arrived while in-flight queries keep reading the
 // snapshot they started on (shard.Log publishes copy-on-write worlds).
 // The cache staleness predicate also consults the current snapshot:
-// append bumps the tail shard's version, so exactly the cached windows
-// overlapping the tail retire while cold-shard results stay warm.
+// append bumps the tail shard's version, which every cached key embeds,
+// so each append retires the cached answers computed before it.
 func NewLive(lg *shard.Log, cfg Config) *Server {
 	s := &Server{snap: func() *shard.View { return lg.Snapshot().View() }}
 	s = newServer(s, cfg)

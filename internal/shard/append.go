@@ -10,9 +10,10 @@ import (
 
 // AppendTail folds one feed chunk into the tail shard — the sharded face of
 // store.DB.AppendChunk. Stream appends always land in the time-ordered tail,
-// so only the tail's snapshot version is bumped (inside AppendChunk): cached
-// results whose window touches the tail go stale through StaleKey while cold
-// windows stay warm, exactly the contract the version-vector tests pin.
+// so only the tail's snapshot version is bumped (inside AppendChunk). Every
+// cached result goes stale through StaleKey, cold windows included: their
+// answers can read the tail's postings and the per-event metadata this
+// method rewrites in cold shards.
 //
 // The tail store rebuilds its own derived state (row-list and bitmap
 // postings, quarter index, LUTs), but the shard layer holds assembly-time
@@ -24,8 +25,8 @@ import (
 //   - Per-event metadata: NumArticles/FirstMention/Interval are global
 //     columns copied verbatim into every shard holding the event, so the
 //     tail's updated values are propagated to the other shards' copies
-//     (their versions are NOT bumped — per-event metadata is the same
-//     global-not-windowed data it was at split time).
+//     (their versions are not bumped; the tail's bump already retires
+//     every cache key, since keys embed the whole version vector).
 //   - The merged global event table and the event row remaps are rebuilt,
 //     since appended events shift global rows.
 //

@@ -16,13 +16,56 @@ import (
 	"gdeltmine/internal/shard"
 )
 
+// tailChunk builds a feed chunk for the last capture interval of sdb: a
+// mention of an event that lives in an early shard but not the tail (forces
+// adoption), a brand-new event, and a brand-new source. src names an
+// existing source for the early mention. It returns the chunk and the early
+// event's id.
+func tailChunk(t *testing.T, sdb *shard.DB, src string) ([]gdelt.Event, []gdelt.Mention, int64) {
+	t.Helper()
+	tail := sdb.Tail()
+	var earlyID int64 = -1
+	p0 := sdb.Part(0)
+	for i := 0; i < p0.Events.Len(); i++ {
+		if id := p0.Events.ID[i]; tail.EventRowByID(id) < 0 && p0.Events.NumArticles[i] > 0 {
+			earlyID = id
+			break
+		}
+	}
+	if earlyID < 0 {
+		t.Fatal("no early-shard event absent from the tail; pick another world")
+	}
+	var maxID int64
+	for i := 0; i < sdb.K(); i++ {
+		if ids := sdb.Part(i).Events.ID; len(ids) > 0 {
+			maxID = max(maxID, ids[len(ids)-1])
+		}
+	}
+	base := sdb.Meta().Start.IntervalIndex()
+	lastIv := sdb.Meta().Intervals - 1
+	ts := gdelt.IntervalStart(base + int64(lastIv))
+	evs := []gdelt.Event{{GlobalEventID: maxID + 1000, Day: 20191231, DateAdded: ts,
+		SourceURL: "http://tail-news.example/new"}}
+	web := func(id int64, src string) gdelt.Mention {
+		return gdelt.Mention{GlobalEventID: id, EventTime: ts, MentionTime: ts,
+			MentionType: gdelt.MentionTypeWeb, SourceName: src, DocLen: 900, Confidence: 70}
+	}
+	mns := []gdelt.Mention{
+		web(earlyID, src),
+		web(earlyID, "tail-news.example"),
+		web(maxID+1000, "tail-news.example"),
+	}
+	return evs, mns, earlyID
+}
+
 // TestAppendTailRebuildsAndInvalidates pins the sharded stale-postings
 // hazard end to end: one chunk folded through AppendTail must (1) land in
 // the tail shard with its bitmap postings rebuilt, (2) home events the
 // chunk mentions that the tail never held, (3) keep the global per-event
-// metadata agreed across shards, (4) bump only the tail version so cached
-// full-window results go stale while cold windows stay warm, and (5) leave
-// the sharded answers identical to a monolith that folded the same chunk.
+// metadata agreed across shards, (4) bump only the tail version, which
+// retires every cached window — cold ones included, since coreport reads
+// the tail's postings whatever its window — and (5) leave the sharded
+// answers identical to a monolith that folded the same chunk.
 func TestAppendTailRebuildsAndInvalidates(t *testing.T) {
 	c, err := gen.Generate(gen.Small())
 	if err != nil {
@@ -66,36 +109,10 @@ func TestAppendTailRebuildsAndInvalidates(t *testing.T) {
 		}
 	}
 
-	// Build the chunk: a mention of an event that lives in an early shard
-	// but not the tail (forces adoption), a brand-new event, a brand-new
-	// source.
 	tail := sdb.Tail()
-	var earlyID int64 = -1
 	p0 := sdb.Part(0)
-	for i := 0; i < p0.Events.Len(); i++ {
-		if id := p0.Events.ID[i]; tail.EventRowByID(id) < 0 && p0.Events.NumArticles[i] > 0 {
-			earlyID = id
-			break
-		}
-	}
-	if earlyID < 0 {
-		t.Fatal("no early-shard event absent from the tail; pick another world")
-	}
-	base := sdb.Meta().Start.IntervalIndex()
-	lastIv := sdb.Meta().Intervals - 1
-	ts := gdelt.IntervalStart(base + int64(lastIv))
 	maxID := mono.Events.ID[len(mono.Events.ID)-1]
-	evs := []gdelt.Event{{GlobalEventID: maxID + 1000, Day: 20191231, DateAdded: ts,
-		SourceURL: "http://tail-news.example/new"}}
-	web := func(id int64, src string) gdelt.Mention {
-		return gdelt.Mention{GlobalEventID: id, EventTime: ts, MentionTime: ts,
-			MentionType: gdelt.MentionTypeWeb, SourceName: src, DocLen: 900, Confidence: 70}
-	}
-	mns := []gdelt.Mention{
-		web(earlyID, mono.Sources.Name(panel[0])),
-		web(earlyID, "tail-news.example"),
-		web(maxID+1000, "tail-news.example"),
-	}
+	evs, mns, earlyID := tailChunk(t, sdb, mono.Sources.Name(panel[0]))
 
 	// Fold the same chunk into the monolith reference first (shared global
 	// dictionary, so intern order is consistent either way).
@@ -136,12 +153,12 @@ func TestAppendTailRebuildsAndInvalidates(t *testing.T) {
 		t.Fatal("appended event missing from the tail")
 	}
 
-	// Cache: the full window went stale, the cold window stayed warm.
+	// Cache: both windows went stale.
 	if out := run(full); out != qcache.Miss {
 		t.Fatalf("full-window run after append: %v, want miss (stale aggregate!)", out)
 	}
-	if out := run(cold); out != qcache.Hit {
-		t.Fatalf("cold-window run after append: %v, want hit (cold shard untouched)", out)
+	if out := run(cold); out != qcache.Miss {
+		t.Fatalf("cold-window run after append: %v, want miss (coreport reads the tail's postings)", out)
 	}
 
 	// Sharded answers equal the monolith that folded the same chunk —
@@ -171,8 +188,8 @@ func TestAppendTailRebuildsAndInvalidates(t *testing.T) {
 	}
 
 	// A chunk below the tail window is rejected before any mutation.
-	low := web(earlyID, "tail-news.example")
-	low.MentionTime = gdelt.IntervalStart(base) // interval 0
+	low := mns[1]
+	low.MentionTime = gdelt.IntervalStart(sdb.Meta().Start.IntervalIndex()) // interval 0
 	v := tail.Version()
 	if _, err := sdb.AppendTail(nil, []gdelt.Mention{low}); err == nil {
 		t.Fatal("append below the tail window succeeded")

@@ -4,6 +4,8 @@
 package shard_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 
 	"gdeltmine/internal/convert"
@@ -31,15 +33,15 @@ func buildSharded(t *testing.T, k int) *shard.DB {
 	return sdb
 }
 
-// TestTailAppendInvalidatesOnlyTailWindows is the regression test for the
+// TestTailAppendInvalidatesEveryWindow is the regression test for the
 // stale-aggregate bug class the per-shard version vector exists to kill:
-// a stream append lands in the tail shard, so any cached result whose
-// window overlaps the tail must go stale — and, the other half of the
-// contract, results over cold shards must STAY warm. Before cache keys
-// carried per-shard versions, a tail append could keep serving a stale
-// cross-shard aggregate (same kind+params+window key, version check passed
-// by the untouched shard the query was keyed on).
-func TestTailAppendInvalidatesOnlyTailWindows(t *testing.T) {
+// a stream append lands in the tail shard, and every cached result must go
+// stale — the full window because it reads the tail's rows, a cold window
+// because answers read outside their window (postings, per-event metadata
+// the append rewrites in cold shards). Before cache keys carried the whole
+// version vector, a tail append could keep serving a stale cross-shard
+// aggregate.
+func TestTailAppendInvalidatesEveryWindow(t *testing.T) {
 	sdb := buildSharded(t, 3)
 	ex := &registry.Executor{Cache: qcache.New(0)}
 	ex.Cache.SetStale(sdb.StaleKey)
@@ -93,8 +95,77 @@ func TestTailAppendInvalidatesOnlyTailWindows(t *testing.T) {
 	if out := run(full); out != qcache.Miss {
 		t.Fatalf("full-window run after tail append: %v, want miss (stale aggregate!)", out)
 	}
+	if out := run(cold); out != qcache.Miss {
+		t.Fatalf("cold-window run after tail append: %v, want miss (stale cold window!)", out)
+	}
 	if out := run(cold); out != qcache.Hit {
-		t.Fatalf("cold-window run after tail append: %v, want hit (cold shard untouched)", out)
+		t.Fatalf("cold-window rerun after tail append: %v, want hit", out)
+	}
+}
+
+// TestColdWindowCacheAfterAppendAllKinds runs every registered kind over a
+// cold window (the first shard only), folds a chunk into the tail, and
+// requires the cached executor's answer to equal an uncached execution.
+// Many kinds read outside their window — event-table and postings scans,
+// per-event metadata the append rewrites in cold shards — so a cache that
+// kept cold-window entries across an append served stale answers.
+func TestColdWindowCacheAfterAppendAllKinds(t *testing.T) {
+	sdb := buildSharded(t, 3)
+	ex := &registry.Executor{Cache: qcache.New(0)}
+	ex.Cache.SetStale(sdb.StaleKey)
+	var uncached *registry.Executor
+	get := func(name string) []string {
+		if name == "theme" && sdb.Themes() != nil && sdb.Themes().Len() > 0 {
+			return []string{sdb.Themes().Name(0)}
+		}
+		return nil
+	}
+	cold := func(kind string) *shard.View {
+		return sdb.View().WithWorkers(1).WithKind(kind).WithWindow(0, sdb.Bounds()[1])
+	}
+	var kinds []*registry.Descriptor
+	params := map[string]registry.Params{}
+	for _, d := range registry.All() {
+		if d.NeedsGKG && !sdb.HasGKG() {
+			continue
+		}
+		p, err := d.ParseParams(get)
+		if err != nil {
+			t.Fatalf("%s: %v", d.Kind, err)
+		}
+		if _, out, err := ex.ExecuteSharded(d, cold(d.Kind), p); err != nil || out != qcache.Miss {
+			t.Fatalf("%s warmup: (%v, %v), want a miss", d.Kind, out, err)
+		}
+		kinds = append(kinds, d)
+		params[d.Kind] = p
+	}
+
+	evs, mns, _ := tailChunk(t, sdb, sdb.Sources().Name(0))
+	if _, err := sdb.AppendTail(evs, mns); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range kinds {
+		t.Run(d.Kind, func(t *testing.T) {
+			got, _, err := ex.ExecuteSharded(d, cold(d.Kind), params[d.Kind])
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _, err := uncached.ExecuteSharded(d, cold(d.Kind), params[d.Kind])
+			if err != nil {
+				t.Fatal(err)
+			}
+			gj, err := json.Marshal(got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wj, err := json.Marshal(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gj, wj) {
+				t.Fatalf("cached cold-window answer is stale after an append:\ncached   %.300s\nuncached %.300s", gj, wj)
+			}
+		})
 	}
 }
 

@@ -32,9 +32,8 @@ import (
 // only slices fresh parts out of the old tail — so a query running against
 // an old snapshot keeps seeing the world it started on, and the per-shard
 // version vectors embedded in qcache keys keep results from different
-// snapshots apart: the fold bumps only the cloned tail's version, so
-// cached answers for tail-overlapping windows go stale while cold-window
-// entries stay warm.
+// snapshots apart: the fold bumps the cloned tail's version, which every
+// key's vector embeds, so cached answers computed before it go stale.
 //
 // Durability contract: appended ticks live in memory only; recovery after
 // a crash is the stream checkpoint plus masterfile catch-up (the live

@@ -7,6 +7,7 @@
 package shard_test
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -375,5 +376,34 @@ func TestLogPersistRoundTrip(t *testing.T) {
 	}
 	if re.Gen() < lg.Gen() {
 		t.Errorf("reopened generation %d below writer's %d; a future seal could collide", re.Gen(), lg.Gen())
+	}
+}
+
+// TestLogOpenRejectsOutOfRangeDelay: a persisted part whose mention delay
+// lies outside [0, gdelt.MaxDelay] — which only corruption can produce,
+// since ingestion clamps — must fail the log load with store.ErrDelayRange
+// rather than reach the delay kernels, which index counting tables by
+// delay.
+func TestLogOpenRejectsOutOfRangeDelay(t *testing.T) {
+	c, err := gen.Generate(logWorldCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	iv := int32(c.World.Days() * gdelt.IntervalsPerDay)
+	for _, bad := range []int32{gdelt.MaxDelay + 1, -1} {
+		sdb, err := shard.Split(buildPrefix(t, c, iv), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := sdb.Part(1)
+		p.Mentions.Delay[p.Mentions.Len()/2] = bad
+		dir := t.TempDir()
+		if _, err := shard.CreateLog(dir, sdb); err != nil {
+			t.Fatal(err)
+		}
+		_, err = shard.OpenLog(dir)
+		if !errors.Is(err, store.ErrDelayRange) {
+			t.Fatalf("delay %d: OpenLog error %v, want store.ErrDelayRange", bad, err)
+		}
 	}
 }

@@ -14,20 +14,22 @@ import (
 	"gdeltmine/internal/stats"
 )
 
-// The sharded executions below mirror the monolithic functions in
-// internal/queries operation for operation: mention scans fan out through
-// per-shard engines over the same typed kernels (so the per-shard window
-// clipping, predicate selection and merge trees are shared code), and the
-// partial results reduce through the local→global remaps. Integer
-// aggregates are exact sums, so they match the monolith bit for bit;
-// float derivations (Jaccard, fractions, fits) go through the same
-// exported finishers in queries, so they see identical integer inputs and
-// produce identical outputs up to the usual non-associativity-free 1e-9.
-// Window semantics follow the monolith precisely: mention-window kernels
-// honor the view window, event-table, postings and GKG scans ignore it.
-
-// maxDelay mirrors queries' unexported delay cap (one year plus a day).
-const maxDelay = gdelt.IntervalsPerYear + gdelt.IntervalsPerDay
+// Sharded executions. Mention scans fan out through per-shard engines
+// over the monolith's typed kernels (so window clipping, predicate
+// selection and merge trees are shared code), and partial results reduce
+// through the local→global remaps. Selection kinds share the monolith's
+// plan algebra rather than its loops: under PlanEvents, co-reporting is
+// set algebra over global event bitmaps, each built by remapping every
+// shard's per-source event bitmap through l2gEv (ascending, since the
+// merged event table keeps ID order) and unioning across shards. A
+// per-shard intersection would miss events whose mentions span shards, so
+// intersections run on the global bitmaps only. Per-source delay medians
+// come off counting tables (stats.MedianSample), not sorted streams.
+// Integer aggregates are exact sums and match the monolith bit for bit;
+// float derivations (Jaccard, fractions, fits) go through the exported
+// finishers in queries, so they see identical integer inputs and agree to
+// 1e-9. Window semantics follow the monolith: mention-window kernels honor
+// the view window, event-table, postings and GKG scans ignore it.
 
 func (v *View) grain1() parallel.Options {
 	opt := v.opt()
@@ -451,13 +453,7 @@ type selection struct {
 
 func (v *View) selection(sources []int32, plan engine.PlanMode) *selection {
 	s := v.s
-	slotG := make([]int32, s.sources.Len())
-	for i := range slotG {
-		slotG[i] = -1
-	}
-	for i, src := range sources {
-		slotG[src] = int32(i) // duplicates resolve to the last occurrence
-	}
+	slotG := queries.SlotLUT(s.sources.Len(), sources)
 	sel := &selection{slots: make([][]int32, len(s.parts))}
 	if plan == engine.PlanRows {
 		sel.rowPtr = make([][]int32, len(s.parts))
@@ -574,14 +570,17 @@ func (s *DB) shardEventRows(ev int32, f func(i int, rows []int32)) {
 }
 
 // CoReport computes co-reporting among the selected global sources through
-// the planner-resolved plan: selected rows only (rows), candidate events'
-// full mention lists (events), or every global event (scan, forced only).
-// All plans reduce through the same per-event fold and produce identical
-// results.
+// the planner-resolved plan: global event-bitmap algebra (events), a fold
+// over the selected rows only (rows), or over every global event's full
+// mention list (scan, forced only). All plans produce identical results.
 func (v *View) CoReport(sources []int32) (*queries.CoReporting, error) {
+	plan := v.PlanSelection(sources)
+	if plan == engine.PlanEvents {
+		return v.coReportEvents(sources)
+	}
 	s := v.s
 	n := len(sources)
-	sel := v.selection(sources, v.PlanSelection(sources))
+	sel := v.selection(sources, plan)
 	type partial struct {
 		pair   *matrix.Int64
 		counts []int64
@@ -629,6 +628,58 @@ func (v *View) CoReport(sources []int32) (*queries.CoReporting, error) {
 		},
 	)
 	return queries.FinishCoReporting(sources, v.sourceNames(sources), res.counts, res.pair)
+}
+
+// coReportEvents is the sharded form of the monolith's event-bitmap plan.
+// Each active panel position gets a global event bitmap: every shard
+// remaps its local per-source event bitmap through l2gEv (ascending, so
+// the remapped rows stay sorted) and the shards' bitmaps are unioned.
+// Intersecting per shard would undercount events whose mentions span
+// shards, so the pair counts come off the global bitmaps. A shard holding
+// every global event has the identity remap and lends its bitmaps as is.
+func (v *View) coReportEvents(sources []int32) (*queries.CoReporting, error) {
+	s := v.s
+	slotG := queries.SlotLUT(s.sources.Len(), sources)
+	act := queries.ActiveSlots(sources, slotG)
+	local := make([][]*bitmap.Bitmap, s.K()) // [shard][panel position]
+	v.forEachShard(func(_ *parallel.Worker, i int, _ *engine.Engine) {
+		p := s.parts[i]
+		identity := p.Events.Len() == s.events.Len()
+		remap := s.l2gEv[i]
+		bms := make([]*bitmap.Bitmap, len(sources))
+		var rows []int32
+		for ls, g := range s.l2gSrc[i] {
+			pos := slotG[g]
+			if pos < 0 {
+				continue
+			}
+			bm := p.SourceEventBitmap(int32(ls))
+			if !identity {
+				rows = bm.AppendRows(rows[:0])
+				for j, le := range rows {
+					rows[j] = remap[le]
+				}
+				bm = bitmap.FromSorted(rows)
+			}
+			bms[pos] = bm
+		}
+		local[i] = bms
+	})
+	global := make([]*bitmap.Bitmap, len(act))
+	parallel.ForOpt(len(act), v.opt(), func(lo, hi int) {
+		parts := make([]*bitmap.Bitmap, 0, len(local))
+		for a := lo; a < hi; a++ {
+			parts = parts[:0]
+			for _, bms := range local {
+				if bms != nil {
+					parts = append(parts, bms[act[a]])
+				}
+			}
+			global[a] = bitmap.UnionAll(parts)
+		}
+	})
+	counts, pair := queries.EventBitmapCounts(len(sources), act, global)
+	return queries.FinishCoReporting(sources, v.sourceNames(sources), counts, pair)
 }
 
 // FollowReport computes follow-reporting among the selected global
@@ -710,38 +761,31 @@ func (v *View) sourceArticles(src int32) int64 {
 	return total
 }
 
-// PublisherDelays computes Table VIII rows for the given global sources,
-// concatenating each source's per-shard delay streams (the monolith sorts
-// the stream anyway, so segment order is immaterial).
+// PublisherDelays computes Table VIII rows for the given global sources.
+// Each source's per-shard delay streams fold into one MedianSample per
+// chunk of sources, so no stream is materialized or sorted per source.
 func (v *View) PublisherDelays(sources []int32) []queries.SourceDelayStats {
 	s := v.s
 	out := make([]queries.SourceDelayStats, len(sources))
 	parallel.ForOpt(len(sources), v.opt(), func(lo, hi int) {
-		var buf []int64
+		ms := stats.NewMedianSample(gdelt.MaxDelay)
+		rows := make([][]int32, len(s.parts))
 		for i := lo; i < hi; i++ {
 			src := sources[i]
 			name := s.sources.Name(src)
-			st := queries.SourceDelayStats{Source: src, Name: name}
-			buf = buf[:0]
-			var agg stats.IntSummary
-			for _, p := range s.parts {
-				ls := p.Sources.Lookup(name)
-				if ls < 0 {
-					continue
-				}
-				for _, r := range p.SourceMentions(ls) {
-					d := int64(p.Mentions.Delay[r])
-					agg.Add(d)
-					buf = append(buf, d)
+			n := 0
+			for pi, p := range s.parts {
+				rows[pi] = nil
+				if ls := p.Sources.Lookup(name); ls >= 0 {
+					rows[pi] = p.SourceMentions(ls)
+					n += len(rows[pi])
 				}
 			}
-			st.Articles = int64(len(buf))
-			if len(buf) > 0 {
-				sort.Slice(buf, func(a, b int) bool { return buf[a] < buf[b] })
-				st.Min, st.Max, st.Average = agg.Min, agg.Max, agg.Mean()
-				st.Median = buf[(len(buf)-1)/2] // lower median
+			ms.Reset(n)
+			for pi, p := range s.parts {
+				ms.AddRows(p.Mentions.Delay, rows[pi])
 			}
-			out[i] = st
+			out[i] = queries.SourceDelays(src, name, ms)
 		}
 	})
 	return out
@@ -758,7 +802,7 @@ func (v *View) QuarterlyDelays() queries.QuarterlyDelay {
 		Median:  make([]int64, nq),
 	}
 	parallel.ForOpt(nq, v.grain1(), func(qlo, qhi int) {
-		ct := stats.NewCountTable(maxDelay)
+		ct := stats.NewCountTable(gdelt.MaxDelay)
 		for q := qlo; q < qhi; q++ {
 			for i := range ct.Counts {
 				ct.Counts[i] = 0
@@ -791,7 +835,10 @@ func (v *View) FastSpreadingEvents(window int32, minSources, k int) []queries.Wi
 	candidates := parallel.MapReduce(s.events.Len(), v.opt(),
 		func() []queries.Wildfire { return nil },
 		func(acc []queries.Wildfire, lo, hi int) []queries.Wildfire {
-			seen := map[int32]bool{}
+			// stamp[g] == gen marks global source g as seen on the current
+			// event, so moving to the next event is one increment.
+			stamp := make([]int32, s.sources.Len())
+			var gen int32
 			for ev := lo; ev < hi; ev++ {
 				total := 0
 				for i, p := range s.parts {
@@ -803,8 +850,8 @@ func (v *View) FastSpreadingEvents(window int32, minSources, k int) []queries.Wi
 					continue
 				}
 				cutoff := s.events.Interval[ev] + window
-				clear(seen)
-				early := 0
+				gen++
+				early, distinct := 0, 0
 				for i, p := range s.parts {
 					if s.bounds[i] >= cutoff {
 						break // every remaining mention is past the window
@@ -819,20 +866,23 @@ func (v *View) FastSpreadingEvents(window int32, minSources, k int) []queries.Wi
 							break // postings are interval-sorted
 						}
 						early++
-						seen[remap[p.Mentions.Source[r]]] = true
+						if g := remap[p.Mentions.Source[r]]; stamp[g] != gen {
+							stamp[g] = gen
+							distinct++
+						}
 					}
 				}
-				if len(seen) < minSources {
+				if distinct < minSources {
 					continue
 				}
 				acc = append(acc, queries.Wildfire{
 					EventRow:      int32(ev),
 					EventID:       s.events.ID[ev],
 					SourceURL:     s.events.SourceURL[ev],
-					EarlySources:  len(seen),
+					EarlySources:  distinct,
 					EarlyArticles: early,
 					TotalArticles: s.events.NumArticles[ev],
-					Velocity:      float64(len(seen)) / float64(window),
+					Velocity:      float64(distinct) / float64(window),
 				})
 			}
 			return acc

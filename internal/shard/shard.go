@@ -37,7 +37,7 @@ import (
 // DB is a time-partitioned sharded store: K independent store.DB shards
 // plus the assembly-time global dictionaries and remaps. Immutable after
 // New except for the per-shard snapshot versions (stream appends land in
-// the tail shard and bump only its version).
+// the tail shard and bump its version).
 type DB struct {
 	meta   store.Meta
 	bounds []int32     // K+1 interval boundaries tiling [0, Intervals]
@@ -287,31 +287,12 @@ func (s *DB) QuarterLabel(q int) string { return s.parts[0].QuarterLabel(q) }
 // QuarterOfInterval maps a capture interval to a quarter index.
 func (s *DB) QuarterOfInterval(iv int32) int { return s.parts[0].QuarterOfInterval(iv) }
 
-// overlapping returns the half-open shard index range whose interval
-// ranges intersect the window [from, to).
-func (s *DB) overlapping(from, to int32) (lo, hi int) {
-	if from >= to {
-		return 0, 0
-	}
-	lo, hi = 0, len(s.parts)
-	for lo < hi && s.bounds[lo+1] <= from {
-		lo++
-	}
-	for hi > lo && s.bounds[hi-1] >= to {
-		hi--
-	}
-	return lo, hi
-}
-
-// VersionMax returns the maximum snapshot version over the shards
-// overlapping [from, to) — the Version component of a sharded cache key.
-// An append that bumps only the tail shard raises the max for windows that
-// touch the tail and leaves cold-window versions unchanged.
-func (s *DB) VersionMax(from, to int32) uint64 {
-	lo, hi := s.overlapping(from, to)
+// VersionMax returns the maximum snapshot version over all shards — the
+// Version component of a sharded cache key.
+func (s *DB) VersionMax() uint64 {
 	var max uint64
-	for i := lo; i < hi; i++ {
-		if v := s.parts[i].Version(); v > max {
+	for _, p := range s.parts {
+		if v := p.Version(); v > max {
 			max = v
 		}
 	}
@@ -319,10 +300,13 @@ func (s *DB) VersionMax(from, to int32) uint64 {
 }
 
 // WindowVersionKey renders the Window component of a sharded cache key:
-// the interval window plus the version vector of every overlapping shard.
-// Embedding the per-shard versions (not just the max) is what lets the
-// staleness sweep keep warm entries whose shards did not change — see
-// StaleKey and qcache.Cache.SetStale.
+// the interval window plus the version vector of every shard. The vector
+// covers shards outside the window too, because a window does not bound
+// what an answer reads: event-table, postings and GKG scans ignore it, and
+// a tail append rewrites per-event metadata held by cold shards. Any
+// append therefore retires every cached window (see StaleKey and
+// qcache.Cache.SetStale), and a seal, which changes the shard count,
+// changes every key.
 func (s *DB) WindowVersionKey(from, to int32) string {
 	var b strings.Builder
 	b.WriteString("iv")
@@ -330,22 +314,19 @@ func (s *DB) WindowVersionKey(from, to int32) string {
 	b.WriteByte(':')
 	b.WriteString(strconv.FormatInt(int64(to), 10))
 	b.WriteString("/v")
-	lo, hi := s.overlapping(from, to)
-	for i := lo; i < hi; i++ {
-		if i > lo {
+	for i, p := range s.parts {
+		if i > 0 {
 			b.WriteByte('.')
 		}
-		b.WriteString(strconv.FormatUint(s.parts[i].Version(), 10))
+		b.WriteString(strconv.FormatUint(p.Version(), 10))
 	}
 	return b.String()
 }
 
-// StaleKey reports whether a cached entry's key refers to a window whose
-// overlapping shards have moved past the versions the entry was computed
-// at. It re-derives the expected window key from the entry's interval
-// window and compares: a tail-shard append makes every tail-overlapping
-// entry stale while entries over cold shards stay servable. Keys that do
-// not parse are conservatively stale.
+// StaleKey reports whether a cached entry's key was computed at a version
+// vector the shards have moved past. It re-derives the expected window key
+// from the entry's interval window and compares. Keys that do not parse
+// are conservatively stale.
 func (s *DB) StaleKey(k qcache.Key) bool {
 	rest, ok := strings.CutPrefix(k.Window, "iv")
 	if !ok {

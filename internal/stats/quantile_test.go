@@ -127,3 +127,66 @@ func TestP2QuantileMonotoneTransformSane(t *testing.T) {
 		t.Fatalf("estimate %v outside data range", v)
 	}
 }
+
+// TestMedianSampleMatchesSortedLowerMedian is the property behind the
+// delay kernels: on both sides of the counting cutoff, and with one
+// accumulator reused across every sample (so a dirty counting table would
+// show), MedianSample's median equals the sorted lower median and its
+// summary equals a direct fold.
+func TestMedianSampleMatchesSortedLowerMedian(t *testing.T) {
+	const maxValue = 35136 // the mention delay cap, gdelt.MaxDelay
+	rng := rand.New(rand.NewSource(12))
+	gens := map[string]func(i int) int64{
+		"random":    func(int) int64 { return rng.Int63n(maxValue + 1) },
+		"all-equal": func(int) int64 { return 42 },
+		"zero-heavy": func(int) int64 {
+			if rng.Intn(10) < 9 {
+				return 0
+			}
+			return rng.Int63n(maxValue + 1)
+		},
+		"max-heavy": func(int) int64 {
+			if rng.Intn(3) > 0 {
+				return maxValue
+			}
+			return rng.Int63n(maxValue + 1)
+		},
+		"ascending": func(i int) int64 { return int64(i % (maxValue + 1)) },
+	}
+	sizes := []int{1, 2, 3, 4, 100, countingCutoff - 1, countingCutoff, countingCutoff + 1, 5000}
+	ms := NewMedianSample(maxValue)
+	for _, round := range []int{0, 1} { // round 1 reuses every dirty table
+		for name, gen := range gens {
+			for _, n := range sizes {
+				vals := make([]int32, n)
+				rows := make([]int32, n)
+				var want IntSummary
+				for i := range vals {
+					vals[i] = int32(gen(i))
+					want.Add(int64(vals[i]))
+					rows[i] = int32(n - 1 - i) // postings visit vals in any order
+				}
+				// Fold in two row runs, as the sharded path folds one run
+				// per shard.
+				ms.Reset(n)
+				ms.AddRows(vals, rows[:n/2])
+				ms.AddRows(vals, rows[n/2:])
+				sorted := make([]int64, n)
+				for i, v := range vals {
+					sorted[i] = int64(v)
+				}
+				sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
+				if got, w := ms.Median(), sorted[(n-1)/2]; got != w {
+					t.Fatalf("round %d %s n=%d: median %d, want %d", round, name, n, got, w)
+				}
+				if got := ms.Summary(); got != want {
+					t.Fatalf("round %d %s n=%d: summary %+v, want %+v", round, name, n, got, want)
+				}
+			}
+		}
+	}
+	ms.Reset(0)
+	if ms.Median() != 0 || ms.Summary().N != 0 {
+		t.Fatal("empty sample: want median 0 and N 0")
+	}
+}

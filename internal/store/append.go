@@ -143,8 +143,8 @@ func (db *DB) AppendChunk(evs []gdelt.Event, mns []gdelt.Mention) (AppendStats, 
 		if delay < 0 {
 			delay = 0
 		}
-		if delay > int64(gdelt.IntervalsPerYear+gdelt.IntervalsPerDay) {
-			delay = int64(gdelt.IntervalsPerYear + gdelt.IntervalsPerDay)
+		if delay > gdelt.MaxDelay {
+			delay = gdelt.MaxDelay
 		}
 		db.Mentions.EventRow = append(db.Mentions.EventRow, row)
 		db.Mentions.Source = append(db.Mentions.Source, db.Sources.Intern(mn.SourceName))

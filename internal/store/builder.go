@@ -163,8 +163,8 @@ func (b *Builder) Finish() (*DB, BuildStats, error) {
 		if delay < 0 {
 			delay = 0
 		}
-		if delay > int64(gdelt.IntervalsPerYear+gdelt.IntervalsPerDay) {
-			delay = int64(gdelt.IntervalsPerYear + gdelt.IntervalsPerDay)
+		if delay > gdelt.MaxDelay {
+			delay = gdelt.MaxDelay
 		}
 		db.Mentions.EventRow = append(db.Mentions.EventRow, row)
 		db.Mentions.Source = append(db.Mentions.Source, b.mnSource[o])

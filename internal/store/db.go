@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync/atomic"
@@ -235,6 +236,12 @@ func AssembleDB(meta Meta, sources *Dictionary, ev EventTable, mn MentionTable, 
 	return db, nil
 }
 
+// ErrDelayRange reports a mention delay outside [0, gdelt.MaxDelay]. The
+// builders clamp into that range, so only a corrupt load can produce one;
+// it fails the load rather than reach the delay kernels, whose counting
+// tables are indexed by delay.
+var ErrDelayRange = errors.New("store: mention delay out of range")
+
 // validateTables checks the invariants of the raw column tables alone —
 // everything that must hold before derived indexes can be built safely.
 func (db *DB) validateTables() error {
@@ -265,6 +272,9 @@ func (db *DB) validateTables() error {
 		}
 		if s := db.Mentions.Source[i]; s < 0 || int(s) >= db.Sources.Len() {
 			return fmt.Errorf("store: mention %d references source %d of %d", i, s, db.Sources.Len())
+		}
+		if d := db.Mentions.Delay[i]; d < 0 || d > gdelt.MaxDelay {
+			return fmt.Errorf("%w: mention %d has delay %d, want [0, %d]", ErrDelayRange, i, d, gdelt.MaxDelay)
 		}
 	}
 	return nil

@@ -160,8 +160,8 @@ func (m *Monitor) BindStore(db *store.DB) { m.boundDB = db }
 
 // BindSharded ties the monitor to a sharded store. Stream appends always
 // land in the time-ordered tail shard, so only the tail's version is
-// bumped: cache entries whose window touches the tail go stale while
-// results over cold shards stay warm (see shard.DB.StaleKey).
+// bumped; every sharded cache key embeds it, so cached entries go stale
+// (see shard.DB.StaleKey).
 func (m *Monitor) BindSharded(s *shard.DB) { m.BindStore(s.Tail()) }
 
 // NewMonitor returns a monitor for a feed starting at the given timestamp.
